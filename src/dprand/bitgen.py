@@ -17,9 +17,11 @@ from hashlib import sha256
 from .drbg import SEED_LEN, CtrDrbg, DrbgConfig
 from .entropy import EntropyBlock, mix
 from .errors import DuplicateSeed
-from .mt19937 import Mt19937, MtState
+from .mt19937 import N, Mt19937, MtState
 
 _DOUBLE_SCALE = 2.0 ** -53
+_DRBG_REFILL = 65536
+_MT_REFILL = 4 * N  # one twist of outputs
 
 
 class Backend(enum.Enum):
@@ -28,84 +30,74 @@ class Backend(enum.Enum):
 
 
 class GeneratorHandle:
-    """Uniform 32/64-bit words and 53-bit doubles over a DRBG or (insecure) MT19937.
+    """Uniform 32/64-bit words and 53-bit doubles read from one little-endian byte stream.
 
+    The source, the DRBG or (insecure) MT19937, is read through its generate(n) -> bytes.
     words_emitted counts 32-bit words consumed, whatever the call mix:
     next_u32 is one word, next_u64 and next_double53 are two.
     """
 
-    def __init__(self, backend: Backend, state, *, buffer_bytes: int = 65536):
+    def __init__(self, backend: Backend, source, refill: int):
         # not for direct use: the named constructors keep the insecure path loud
         self.backend = backend
         self.words_emitted = 0
-        if backend is Backend.DRBG:
-            self._drbg: CtrDrbg = state
-            self._chunk = min(buffer_bytes, self._drbg.config.max_bytes_per_request)
-            self._buf = b""
-            self._pos = 0
-        else:
-            self._mt: Mt19937 = state
+        self._source = source
+        self._refill = refill
+        self._buf = b""
+        self._pos = 0
 
     @classmethod
-    def from_drbg(cls, drbg: CtrDrbg, *, buffer_bytes: int = 65536) -> "GeneratorHandle":
-        return cls(Backend.DRBG, drbg, buffer_bytes=buffer_bytes)
+    def from_drbg(cls, drbg: CtrDrbg) -> "GeneratorHandle":
+        return cls(Backend.DRBG, drbg, min(_DRBG_REFILL, drbg.config.max_bytes_per_request))
 
     @classmethod
     def from_drbg_seed(cls, seed_material: bytes | str,
                        config: DrbgConfig | None = None) -> "GeneratorHandle":
-        return cls(Backend.DRBG, CtrDrbg(seed_material, config))
+        return cls.from_drbg(CtrDrbg(seed_material, config))
 
     @classmethod
     def insecure_mt19937(cls, seed: int) -> "GeneratorHandle":
         """Attack/testing backend only; the name is the warning label."""
-        return cls(Backend.MT19937_INSECURE, Mt19937.from_seed(seed))
+        return cls(Backend.MT19937_INSECURE, Mt19937.from_seed(seed), _MT_REFILL)
 
     @classmethod
     def insecure_mt19937_from_state(cls, state: MtState) -> "GeneratorHandle":
-        return cls(Backend.MT19937_INSECURE, Mt19937(state))
-
-    # --- byte plumbing (DRBG backend) ---
+        return cls(Backend.MT19937_INSECURE, Mt19937(state), _MT_REFILL)
 
     def _take(self, n: int) -> bytes:
-        out = bytearray()
-        while n > 0:
-            if self._pos >= len(self._buf):
-                self._buf = self._drbg.generate(self._chunk)
-                self._pos = 0
-            take = min(n, len(self._buf) - self._pos)
-            out += self._buf[self._pos:self._pos + take]
-            self._pos += take
-            n -= take
-        return bytes(out)
+        """The next n bytes of the stream; a failed refill leaves the handle unchanged."""
+        buf, end = self._buf, self._pos + n
+        if end <= len(buf):
+            out = buf[self._pos:end]
+        else:
+            pieces = [buf[self._pos:]]
+            while end > len(buf):
+                end -= len(buf)
+                buf = self._source.generate(self._refill)
+                pieces.append(buf)
+            pieces[-1] = buf[:end]
+            out = b"".join(pieces)
+            self._buf = buf
+        self._pos = end
+        self.words_emitted += n // 4
+        return out
 
     def reseed(self, seed_material: bytes | str) -> None:
         """Forward fresh seed material to the DRBG; buffered keystream is dropped."""
         if self.backend is not Backend.DRBG:
             raise TypeError("only DRBG-backed handles reseed")
-        self._drbg.reseed(seed_material)
+        self._source.reseed(seed_material)
         self._buf = b""
         self._pos = 0
 
     # --- word interface ---
 
     def next_u32(self) -> int:
-        if self.backend is Backend.MT19937_INSECURE:
-            word = self._mt.next_u32()
-        else:
-            word = int.from_bytes(self._take(4), "little")
-        self.words_emitted += 1
-        return word
+        return int.from_bytes(self._take(4), "little")
 
     def next_u64(self) -> int:
-        """Two 32-bit draws on MT, low word first; 8 little-endian bytes on DRBG."""
-        if self.backend is Backend.MT19937_INSECURE:
-            lo = self._mt.next_u32()
-            hi = self._mt.next_u32()
-            self.words_emitted += 2
-            return (hi << 32) | lo
-        value = int.from_bytes(self._take(8), "little")
-        self.words_emitted += 2
-        return value
+        """8 little-endian bytes; on MT that is two 32-bit draws, low word first."""
+        return int.from_bytes(self._take(8), "little")
 
     def next_double53(self) -> float:
         """Uniform in [0, 1) with 53 random bits; consumes exactly one 64-bit word."""
@@ -115,14 +107,7 @@ class GeneratorHandle:
         """Bulk byte draw for the statistical tests; n must be word-aligned."""
         if n % 4:
             raise ValueError("byte draws must be a multiple of 4 to keep word accounting exact")
-        if self.backend is Backend.MT19937_INSECURE:
-            words = n // 4
-            out = b"".join(self._mt.next_u32().to_bytes(4, "little") for _ in range(words))
-            self.words_emitted += words
-            return out
-        out = self._take(n)
-        self.words_emitted += n // 4
-        return out
+        return self._take(n)
 
 
 class StreamAuditLog:
@@ -131,9 +116,16 @@ class StreamAuditLog:
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: list[dict] = []
+        self._fingerprints: set[str] = set()  # clone detection: complete, never trimmed
 
-    def append(self, stream_index: int, fingerprint_hex: str):
+    def record(self, stream_index: int, fingerprint_hex: str):
+        """Log a stream's seed fingerprint; DuplicateSeed if this log has seen it before."""
         with self._lock:
+            if fingerprint_hex in self._fingerprints:
+                raise DuplicateSeed(
+                    f"stream {stream_index} derived already-seen seed material "
+                    f"(fingerprint {fingerprint_hex[:16]}...); refusing to run twins")
+            self._fingerprints.add(fingerprint_hex)
             self._entries.append({
                 "stream_index": stream_index,
                 "fingerprint_hex": fingerprint_hex,
@@ -146,7 +138,7 @@ class StreamAuditLog:
 
     def fingerprints(self) -> set[str]:
         with self._lock:
-            return {e["fingerprint_hex"] for e in self._entries}
+            return set(self._fingerprints)
 
     def dump_jsonl(self) -> str:
         return "\n".join(json.dumps(e) for e in self.entries())
@@ -171,26 +163,20 @@ def spawn_streams(seed_root, count: int, *,
     tag carries a per-run nonce and the stream index, so even byte-identical
     entropy cannot produce byte-identical streams. Identical seed material
     AND identical tags still collide, and that collision is the clone hazard:
-    spawn fails closed with DuplicateSeed instead of returning twins.
+    spawn fails closed with DuplicateSeed, against every seed the audit log
+    has recorded, instead of returning twins.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if nonce is None:
         nonce = secrets.token_hex(16)
     log = audit_log if audit_log is not None else STREAM_AUDIT
-    seen = log.fingerprints()
     handles = []
     for index in range(count):
         blocks = seed_root()
         if isinstance(blocks, EntropyBlock):
             blocks = [blocks]
         seed = mix(list(blocks), SEED_LEN, tag_builder(nonce, index))
-        fingerprint = sha256(seed).hexdigest()
-        if fingerprint in seen:
-            raise DuplicateSeed(
-                f"stream {index} derived already-seen seed material "
-                f"(fingerprint {fingerprint[:16]}...); refusing to run twins")
-        seen.add(fingerprint)
-        log.append(index, fingerprint)
+        log.record(index, sha256(seed).hexdigest())
         handles.append(GeneratorHandle.from_drbg_seed(seed, config))
     return handles

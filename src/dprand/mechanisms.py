@@ -94,19 +94,17 @@ def two_sided_geometric_fast_insecure(params: MechanismParams, g: GeneratorHandl
     return max(k, 0)
 
 
-def geometric_mechanism(true_counts, params: MechanismParams, g: GeneratorHandle,
-                        *, fast_insecure: bool = False) -> list[NoisyMeasurement]:
+def geometric_mechanism(true_counts, params: MechanismParams,
+                        g: GeneratorHandle) -> list[NoisyMeasurement]:
     """Protect an integer array cell by cell, consuming words in array order.
 
     The draw order per cell is pinned: the state-recovery demo depends on
     knowing exactly which words belong to which cell.
     """
-    sampler = two_sided_geometric_fast_insecure if fast_insecure else two_sided_geometric
     out = []
     for count in true_counts:
-        noise = sampler(params, g)
-        out.append(NoisyMeasurement(int(count) + noise, "geometric", params,
-                                    insecure=fast_insecure))
+        noise = two_sided_geometric(params, g)
+        out.append(NoisyMeasurement(int(count) + noise, "geometric", params))
     return out
 
 

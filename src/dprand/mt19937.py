@@ -6,6 +6,7 @@ reference. Production randomness comes from the DRBG.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 N = 624
@@ -141,3 +142,8 @@ class Mt19937:
         y = temper(self._mt[self._index])
         self._index += 1
         return y
+
+    def generate(self, n: int) -> bytes:
+        """The next n // 4 outputs as little-endian 32-bit words: the byte stream handles read."""
+        words = n // 4
+        return struct.pack(f"<{words}I", *[self.next_u32() for _ in range(words)])

@@ -109,8 +109,35 @@ class TestHandleWords:
         g.next_u64()  # first buffer fill
         with pytest.raises(ReseedRequired):
             g.next_bytes(131072)  # forces a second generate
+        assert g.words_emitted == 2  # the failed refill consumed nothing
         g.reseed(os.urandom(SEED_LEN))
         g.next_u64()
+        assert g.words_emitted == 4
+
+    def test_drbg_stream_is_consecutive_generates_across_refills(self):
+        seed = os.urandom(SEED_LEN)
+        drbg = CtrDrbg(seed)
+        expected = b"".join(drbg.generate(65536) for _ in range(3))
+        g = GeneratorHandle.from_drbg_seed(seed)
+        rng = random.Random(6)
+        got = bytearray()
+        while len(got) < 2 * 65536 + 4096:
+            op = rng.choice(("u32", "u64", "bytes"))
+            if op == "u32":
+                got += g.next_u32().to_bytes(4, "little")
+            elif op == "u64":
+                got += g.next_u64().to_bytes(8, "little")
+            else:
+                got += g.next_bytes(4 * rng.randrange(1, 2048))
+        assert bytes(got) == expected[:len(got)]
+        assert g.words_emitted == len(got) // 4
+
+    def test_mt_bytes_are_little_endian_words_across_refills(self):
+        ref = Mt19937.from_seed(11)
+        expected = b"".join(ref.next_u32().to_bytes(4, "little") for _ in range(4 * 624 + 3))
+        g = GeneratorHandle.insecure_mt19937(11)
+        got = g.next_bytes(12) + g.next_bytes(3 * 2496) + g.next_bytes(2496)
+        assert got == expected
 
 
 class TestDouble53:
@@ -199,6 +226,14 @@ class TestSpawnStreams:
         assert [e["stream_index"] for e in entries] == [0, 1, 2]
         assert all(len(e["fingerprint_hex"]) == 64 for e in entries)
         assert "fingerprint_hex" in log.dump_jsonl()
+
+    def test_duplicate_detected_across_calls_on_one_log(self):
+        provider = SeedProvider([fixed_test_source(b"\x42" * 48)], insecure_override=True)
+        log = StreamAuditLog()
+        spawn_streams(provider, 1, nonce="n", audit_log=log)
+        with pytest.raises(DuplicateSeed):
+            spawn_streams(provider, 1, nonce="n", audit_log=log)
+        assert len(log.entries()) == 1
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
