@@ -9,17 +9,18 @@ voids the privacy guarantee.
 
 from .attack import (AttackTranscript, GeometricInvCdfChannel, IdentityChannel,
                      reconstruct_state, sparse_histogram_attack, untemper)
-from .bitgen import Backend, GeneratorHandle, StreamAuditLog, spawn_streams
+from .bitgen import Backend, GeneratorHandle, spawn_streams
 from .budget import BudgetReport, BudgetSpec, Geolevel, compute_budget, us_2020_spec
 from .drbg import SEED_LEN, CtrDrbg, DrbgConfig, instantiate
-from .entropy import (DiagnosticsLog, EntropyBlock, EntropySource, Resistance,
-                      SeedProvider, SourceDescriptor, SourceKind, emulated_seed_source,
-                      fetch_remote, fixed_test_source, mix, os_urandom_source,
-                      rdrand_source, rdseed_source, read_with_retry, remote_source)
+from .entropy import (EntropyBlock, EntropySource, Resistance, SeedProvider,
+                      SourceDescriptor, SourceKind, emulated_seed_source, fetch_remote,
+                      fixed_test_source, mix, os_urandom_source, rdrand_source,
+                      rdseed_source, read_with_retry, remote_source)
 from .errors import (BadResponse, BadSeedLength, ChannelNotInvertible, DprandError,
                      DuplicateSeed, EmptyInput, InsecureUseRefused, InvalidSpec,
                      RemoteTimeout, RequestTooLarge, ReseedRequired, RetryExhausted,
                      SampleTooSmall, SourceUnavailable)
+from .events import EventLog
 from .mechanisms import (MechanismParams, NoisyMeasurement, geometric_mechanism,
                          laplace_mechanism_insecure, two_sided_geometric,
                          two_sided_geometric_mass_within, two_sided_geometric_pmf)

@@ -8,15 +8,12 @@ identical seed material (the cloned-VM hazard).
 from __future__ import annotations
 
 import enum
-import json
 import secrets
-import threading
-import time
 from hashlib import sha256
 
 from .drbg import SEED_LEN, CtrDrbg, DrbgConfig
 from .entropy import EntropyBlock, mix
-from .errors import DuplicateSeed
+from .events import EVENTS, EventLog
 from .mt19937 import N, Mt19937, MtState
 
 _DOUBLE_SCALE = 2.0 ** -53
@@ -110,43 +107,6 @@ class GeneratorHandle:
         return self._take(n)
 
 
-class StreamAuditLog:
-    """Seed fingerprints for every spawned stream, dumpable as JSON lines."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: list[dict] = []
-        self._fingerprints: set[str] = set()  # clone detection: complete, never trimmed
-
-    def record(self, stream_index: int, fingerprint_hex: str):
-        """Log a stream's seed fingerprint; DuplicateSeed if this log has seen it before."""
-        with self._lock:
-            if fingerprint_hex in self._fingerprints:
-                raise DuplicateSeed(
-                    f"stream {stream_index} derived already-seen seed material "
-                    f"(fingerprint {fingerprint_hex[:16]}...); refusing to run twins")
-            self._fingerprints.add(fingerprint_hex)
-            self._entries.append({
-                "stream_index": stream_index,
-                "fingerprint_hex": fingerprint_hex,
-                "timestamp": time.time(),
-            })
-
-    def entries(self) -> list[dict]:
-        with self._lock:
-            return list(self._entries)
-
-    def fingerprints(self) -> set[str]:
-        with self._lock:
-            return set(self._fingerprints)
-
-    def dump_jsonl(self) -> str:
-        return "\n".join(json.dumps(e) for e in self.entries())
-
-
-STREAM_AUDIT = StreamAuditLog()
-
-
 def _default_tag(nonce: str, index: int) -> str:
     return f"dprand/stream/{nonce}/{index}"
 
@@ -154,7 +114,7 @@ def _default_tag(nonce: str, index: int) -> str:
 def spawn_streams(seed_root, count: int, *,
                   config: DrbgConfig | None = None,
                   nonce: str | None = None,
-                  audit_log: StreamAuditLog | None = None,
+                  log: EventLog | None = None,
                   tag_builder=_default_tag) -> list[GeneratorHandle]:
     """Derive `count` independent DRBG-backed handles.
 
@@ -163,20 +123,20 @@ def spawn_streams(seed_root, count: int, *,
     tag carries a per-run nonce and the stream index, so even byte-identical
     entropy cannot produce byte-identical streams. Identical seed material
     AND identical tags still collide, and that collision is the clone hazard:
-    spawn fails closed with DuplicateSeed, against every seed the audit log
-    has recorded, instead of returning twins.
+    spawn fails closed with DuplicateSeed, against every seed the event log
+    has ever recorded (evicted spawn records included), instead of returning twins.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if nonce is None:
         nonce = secrets.token_hex(16)
-    log = audit_log if audit_log is not None else STREAM_AUDIT
+    log = log if log is not None else EVENTS
     handles = []
     for index in range(count):
         blocks = seed_root()
         if isinstance(blocks, EntropyBlock):
             blocks = [blocks]
         seed = mix(list(blocks), SEED_LEN, tag_builder(nonce, index))
-        log.record(index, sha256(seed).hexdigest())
+        log.record_spawn(index, sha256(seed).hexdigest())
         handles.append(GeneratorHandle.from_drbg_seed(seed, config))
     return handles

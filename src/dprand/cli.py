@@ -18,6 +18,7 @@ from .attack import GeometricInvCdfChannel, IdentityChannel, sparse_histogram_at
 from .bitgen import GeneratorHandle
 from .drbg import SEED_LEN
 from .errors import DprandError
+from .events import EventLog
 from .mt19937 import Mt19937, temper, untemper
 
 REMOTE_ENV = "DP_ENTROPY_REMOTE"
@@ -154,14 +155,14 @@ def _cmd_selftest(args) -> int:
 def _cmd_entropy(args) -> int:
     if args.action != "probe":
         raise DprandError(f"unknown entropy action {args.action!r}")
-    diagnostics = entropy.DiagnosticsLog()
+    log = EventLog()
     if args.source == "os":
         source = entropy.os_urandom_source()
     elif args.source == "remote":
         endpoint = os.environ.get(REMOTE_ENV)
         if not endpoint:
             raise DprandError(f"set {REMOTE_ENV} to the remote entropy endpoint first")
-        source = entropy.remote_source(endpoint, diagnostics=diagnostics)
+        source = entropy.remote_source(endpoint)
     elif args.source in ("rdrand", "rdseed"):
         source = entropy.rdrand_source() if args.source == "rdrand" else entropy.rdseed_source()
     elif args.source == "fixed":
@@ -171,19 +172,19 @@ def _cmd_entropy(args) -> int:
     else:
         raise DprandError(f"unknown source {args.source!r}")
     n = min(args.n, source.descriptor.block_size)
-    block = entropy.read_with_retry(source, n, diagnostics)
+    block = entropy.read_with_retry(source, n, log)
     payload = {
         "schema": "dprand.entropy-probe/1",
         "source": block.source_id,
         "resistance_class": block.resistance_class.value,
         "bytes": len(block.data),
         "sample_hex": block.data[:16].hex(),
-        "diagnostics": diagnostics.entries(),
+        "diagnostics": log.entries(),
     }
     text = (f"{block.source_id}: {len(block.data)} bytes "
             f"(resistance: {block.resistance_class.value})\n"
             f"first bytes: {block.data[:16].hex()}\n"
-            f"diagnostics: {diagnostics.to_json()}")
+            f"diagnostics: {log.to_jsonl()}")
     _emit(args, payload, text)
     return 0
 

@@ -9,18 +9,18 @@ which a bare XOR combiner would allow.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import struct
 import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 
 from .errors import (BadResponse, EmptyInput, InsecureUseRefused, RemoteTimeout,
                      RetryExhausted, SourceUnavailable)
+from .events import EVENTS, EventLog
 
 MAX_BLOCK_LEN = 1024
 MAX_MIX_LEN = 64  # two hash outputs via the counter expansion
@@ -75,33 +75,6 @@ class SourceDescriptor:
                 raise ValueError("hardware_seed sources retry 100 times with a pause")
 
 
-class DiagnosticsLog:
-    """Structured in-memory audit log; every record is one acquisition event."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._records: list[dict] = []
-
-    def record(self, source: str, attempts: int, latency_ms: float, nbytes: int):
-        with self._lock:
-            self._records.append({
-                "source": source,
-                "attempts": attempts,
-                "latency_ms": round(latency_ms, 3),
-                "bytes": nbytes,
-            })
-
-    def entries(self) -> list[dict]:
-        with self._lock:
-            return list(self._records)
-
-    def to_json(self) -> str:
-        return json.dumps(self.entries())
-
-
-DIAGNOSTICS = DiagnosticsLog()
-
-
 class EntropySource:
     """A descriptor plus the fetch primitive that actually produces bytes.
 
@@ -132,31 +105,47 @@ class EntropySource:
         return self._fetch(n)
 
 
-def read_with_retry(source: EntropySource, n: int,
-                    diagnostics: DiagnosticsLog | None = None) -> EntropyBlock:
-    """Read exactly n bytes, retrying not-ready signals up to the descriptor's budget.
+def _read(source: EntropySource, n: int) -> tuple[bytes | None, int]:
+    """Up to 1 + retry_limit fetches of n bytes; (data, attempts), data None if all were not-ready.
 
-    Total attempts are 1 + retry_limit before RetryExhausted; the attempt
-    count lands in the diagnostics log either way.
+    Writes no record: callers log one record per read, or one per loop of reads.
     """
     desc = source.descriptor
     if n < 1 or n > desc.block_size:
         raise ValueError(f"read size must be in [1, {desc.block_size}] for {source.name!r}")
-    log = diagnostics or DIAGNOSTICS
     attempts = 0
-    start = time.monotonic()
     while attempts <= desc.retry_limit:
         attempts += 1
         data = source.fetch_once(n)
         if data is not None:
             if len(data) != n:
                 raise BadResponse(f"source {source.name!r} returned {len(data)} bytes, wanted {n}")
-            log.record(source.name, attempts, (time.monotonic() - start) * 1000.0, n)
-            return EntropyBlock(data, source.name, source.resistance)
+            return data, attempts
         if desc.pause_between_retries:
             time.sleep(0)  # yield the core, mirroring a PAUSE in the retry loop
-    log.record(source.name, attempts, (time.monotonic() - start) * 1000.0, 0)
-    raise RetryExhausted(source.name, attempts)
+    return None, attempts
+
+
+def _log_acquire(log: EventLog, source: str, reads: int, attempts: int, start: float,
+                 nbytes: int) -> None:
+    log.record("acquire", source=source, reads=reads, attempts=attempts,
+               latency_ms=round((time.monotonic() - start) * 1000.0, 3), bytes=nbytes)
+
+
+def read_with_retry(source: EntropySource, n: int,
+                    log: EventLog | None = None) -> EntropyBlock:
+    """Read exactly n bytes, retrying not-ready signals up to the descriptor's budget.
+
+    Total attempts are 1 + retry_limit before RetryExhausted; one acquire
+    record with the attempt count and latency lands in the log either way.
+    """
+    log = log if log is not None else EVENTS
+    start = time.monotonic()
+    data, attempts = _read(source, n)
+    _log_acquire(log, source.name, 1, attempts, start, n if data is not None else 0)
+    if data is None:
+        raise RetryExhausted(source.name, attempts)
+    return EntropyBlock(data, source.name, source.resistance)
 
 
 def _length_prefixed(chunks) -> bytes:
@@ -230,20 +219,30 @@ def fixed_test_source(data: bytes, name: str = "test-fixed") -> EntropySource:
 
 def emulated_seed_source(rand_source: EntropySource,
                          samples: int = 512,
-                         diagnostics: DiagnosticsLog | None = None) -> EntropySource:
+                         log: EventLog | None = None) -> EntropySource:
     """Derive a seed-grade source from a fast-rand source.
 
     Hashes `samples` 16-byte reads into one output block, so at least one
     fresh internal reseed of the underlying generator lands in every block.
+    Each 8-byte read keeps the source's retry contract; the 2 * samples reads
+    of one block share a single acquire record.
     """
+    log = log if log is not None else EVENTS
 
     def fetch(n: int) -> bytes:
-        blocks = []
-        for _ in range(samples):
-            half1 = read_with_retry(rand_source, 8, diagnostics)
-            half2 = read_with_retry(rand_source, 8, diagnostics)
-            blocks.append(EntropyBlock(half1.data + half2.data, rand_source.name,
-                                       rand_source.resistance))
+        start = time.monotonic()
+        halves = []
+        total = 0
+        for _ in range(2 * samples):
+            data, attempts = _read(rand_source, 8)
+            total += attempts
+            if data is None:
+                _log_acquire(log, rand_source.name, len(halves) + 1, total, start, 0)
+                raise RetryExhausted(rand_source.name, attempts)
+            halves.append(data)
+        _log_acquire(log, rand_source.name, len(halves), total, start, 8 * len(halves))
+        blocks = [EntropyBlock(halves[i] + halves[i + 1], rand_source.name, rand_source.resistance)
+                  for i in range(0, len(halves), 2)]
         return mix(blocks, n, "rdseed-emulation")
 
     desc = SourceDescriptor(f"{rand_source.name}-seed-emulation", SourceKind.HARDWARE_SEED,
@@ -253,18 +252,15 @@ def emulated_seed_source(rand_source: EntropySource,
     return EntropySource(desc, fetch, Resistance.MULTIPLICATIVE)
 
 
-def fetch_remote(endpoint: str, n: int, timeout: float = 5.0,
-                 diagnostics: DiagnosticsLog | None = None) -> EntropyBlock:
+def fetch_remote(endpoint: str, n: int, timeout: float = 5.0) -> EntropyBlock:
     """GET {endpoint}/entropy?n=N and return exactly n raw bytes.
 
-    One request per call, n capped at the service's 1024-byte chunk size;
-    the round-trip latency of the request lands in the diagnostics log.
+    One request per call, n capped at the service's 1024-byte chunk size.
+    Writes no record: read_with_retry over remote_source logs the round trip.
     """
     if not 1 <= n <= MAX_BLOCK_LEN:
         raise ValueError(f"remote reads are limited to [1, {MAX_BLOCK_LEN}] bytes per request")
-    log = diagnostics or DIAGNOSTICS
     url = f"{endpoint.rstrip('/')}/entropy?n={n}"
-    start = time.monotonic()
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             status = resp.status
@@ -277,19 +273,16 @@ def fetch_remote(endpoint: str, n: int, timeout: float = 5.0,
         if isinstance(exc.reason, TimeoutError):
             raise RemoteTimeout(f"no answer from {url} within {timeout}s") from exc
         raise BadResponse(f"{url} unreachable: {exc.reason}") from exc
-    latency_ms = (time.monotonic() - start) * 1000.0
     if status != 200:
         raise BadResponse(f"{url} answered status {status}")
     if len(body) != n:
         raise BadResponse(f"{url} returned {len(body)} bytes, wanted {n}")
-    log.record("remote", 1, latency_ms, n)
     return EntropyBlock(body, "remote", Resistance.UNKNOWN)
 
 
-def remote_source(endpoint: str, timeout: float = 5.0,
-                  diagnostics: DiagnosticsLog | None = None) -> EntropySource:
+def remote_source(endpoint: str, timeout: float = 5.0) -> EntropySource:
     def fetch(n: int) -> bytes:
-        return fetch_remote(endpoint, n, timeout, diagnostics).data
+        return fetch_remote(endpoint, n, timeout).data
 
     desc = SourceDescriptor("remote", SourceKind.REMOTE_SERVICE, MAX_BLOCK_LEN)
     return EntropySource(desc, fetch, Resistance.UNKNOWN)
@@ -297,54 +290,24 @@ def remote_source(endpoint: str, timeout: float = 5.0,
 
 # --- production seeding path ---
 
-@dataclass
-class SeedingEvent:
-    purpose: str
-    sources: list[str]
-    kinds: list[str]
-    insecure_override: bool
-    timestamp: float = field(default_factory=time.time)
-
-
-class SeedingAuditLog:
-    """Records which sources fed every seed derivation."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._events: list[SeedingEvent] = []
-
-    def append(self, event: SeedingEvent):
-        with self._lock:
-            self._events.append(event)
-
-    def events(self) -> list[SeedingEvent]:
-        with self._lock:
-            return list(self._events)
-
-
-SEEDING_AUDIT = SeedingAuditLog()
-
-
 class SeedProvider:
     """Reads one block from every configured source per call.
 
     This is the production gateway between raw sources and anything that
     seeds a generator: a test_fixed source is refused outright unless the
-    caller sets insecure_override, and each provide() is audited.
+    caller sets insecure_override, and each provide() writes a seed record.
     """
 
     def __init__(self, sources: list[EntropySource], block_len: int = 48, *,
                  insecure_override: bool = False,
-                 diagnostics: DiagnosticsLog | None = None,
-                 audit_log: SeedingAuditLog | None = None,
+                 log: EventLog | None = None,
                  purpose: str = "seed"):
         if not sources:
             raise EmptyInput("a seed provider needs at least one source")
         self.sources = sources
         self.block_len = block_len
         self.insecure_override = insecure_override
-        self.diagnostics = diagnostics
-        self.audit_log = audit_log or SEEDING_AUDIT
+        self.log = log if log is not None else EVENTS
         self.purpose = purpose
 
     def __call__(self) -> list[EntropyBlock]:
@@ -353,13 +316,10 @@ class SeedProvider:
                 raise InsecureUseRefused(
                     f"source {src.name!r} is a fixed test double; "
                     "pass insecure_override=True to seed from it anyway")
-        blocks = [read_with_retry(src, min(self.block_len, src.descriptor.block_size),
-                                  self.diagnostics)
+        blocks = [read_with_retry(src, min(self.block_len, src.descriptor.block_size), self.log)
                   for src in self.sources]
-        self.audit_log.append(SeedingEvent(
-            self.purpose,
-            [s.name for s in self.sources],
-            [s.descriptor.kind.value for s in self.sources],
-            self.insecure_override,
-        ))
+        self.log.record("seed", purpose=self.purpose,
+                        sources=[s.name for s in self.sources],
+                        kinds=[s.descriptor.kind.value for s in self.sources],
+                        insecure_override=self.insecure_override)
         return blocks

@@ -12,11 +12,12 @@ import time
 import pytest
 
 from dprand.attack import MIN_CELLS, predict_outputs, reconstruct_state, sparse_histogram_attack
-from dprand.bitgen import GeneratorHandle, StreamAuditLog, spawn_streams
+from dprand.bitgen import GeneratorHandle, spawn_streams
 from dprand.budget import compute_budget, us_2020_spec
 from dprand.drbg import SEED_LEN, CtrDrbg, DrbgConfig
 from dprand.entropy import EntropyBlock, SeedProvider, fixed_test_source, mix
 from dprand.errors import DuplicateSeed, ReseedRequired
+from dprand.events import EventLog
 from dprand.kat import bundled_vector_dir, run_kat_dir
 from dprand.mechanisms import (MechanismParams, two_sided_geometric,
                                two_sided_geometric_mass_within, two_sided_geometric_pmf)
@@ -234,13 +235,13 @@ def test_criterion_8_statistical_calibration():
 def test_criterion_9_clone_hazard_detection():
     provider = SeedProvider([fixed_test_source(b"\x42" * 48)], insecure_override=True)
     try:
-        spawn_streams(provider, 2, nonce="cloned-image", audit_log=StreamAuditLog(),
+        spawn_streams(provider, 2, nonce="cloned-image", log=EventLog(),
                       tag_builder=lambda nonce, index: f"worker/{nonce}")  # index dropped
         raised = False
     except DuplicateSeed:
         raised = True
 
-    streams = spawn_streams(provider, 16, nonce="cloned-image", audit_log=StreamAuditLog())
+    streams = spawn_streams(provider, 16, nonce="cloned-image", log=EventLog())
     windows: dict[bytes, int] = {}
     shared = 0
     for idx, handle in enumerate(streams):

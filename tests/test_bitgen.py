@@ -1,12 +1,14 @@
+import json
 import os
 import random
 
 import pytest
 
-from dprand.bitgen import Backend, GeneratorHandle, StreamAuditLog, spawn_streams
+from dprand.bitgen import Backend, GeneratorHandle, spawn_streams
 from dprand.drbg import SEED_LEN, CtrDrbg, DrbgConfig
 from dprand.entropy import SeedProvider, fixed_test_source, os_urandom_source
 from dprand.errors import DuplicateSeed, ReseedRequired
+from dprand.events import EventLog
 from dprand.mt19937 import Mt19937, init_by_array, init_genrand, temper, untemper
 
 REFERENCE_SEED = 5489
@@ -199,41 +201,43 @@ class TestAccounting:
 class TestSpawnStreams:
     def test_live_entropy_streams_are_distinct(self):
         provider = SeedProvider([os_urandom_source()])
-        log = StreamAuditLog()
-        handles = spawn_streams(provider, 2, audit_log=log)
-        fingerprints = [e["fingerprint_hex"] for e in log.entries()]
+        log = EventLog()
+        handles = spawn_streams(provider, 2, log=log)
+        fingerprints = [e["fingerprint_hex"] for e in log.entries() if e["kind"] == "spawn"]
         assert len(set(fingerprints)) == 2
         assert handles[0].next_bytes(1024) != handles[1].next_bytes(1024)
 
     def test_constant_entropy_distinct_tags_do_not_collide(self):
         provider = SeedProvider([fixed_test_source(b"\x42" * 48)], insecure_override=True)
-        log = StreamAuditLog()
-        handles = spawn_streams(provider, 2, nonce="fixed-nonce", audit_log=log)
-        assert len(log.fingerprints()) == 2  # stream-index tags separate the seeds
+        log = EventLog()
+        handles = spawn_streams(provider, 2, nonce="fixed-nonce", log=log)
+        fingerprints = {e["fingerprint_hex"] for e in log.entries() if e["kind"] == "spawn"}
+        assert len(fingerprints) == 2  # stream-index tags separate the seeds
         assert handles[0].next_bytes(1024) != handles[1].next_bytes(1024)
 
     def test_identical_material_and_tags_fail_closed(self):
         provider = SeedProvider([fixed_test_source(b"\x42" * 48)], insecure_override=True)
         with pytest.raises(DuplicateSeed):
-            spawn_streams(provider, 2, nonce="n", audit_log=StreamAuditLog(),
+            spawn_streams(provider, 2, nonce="n", log=EventLog(),
                           tag_builder=lambda nonce, index: "same-tag-every-time")
 
     def test_audit_log_records_every_stream(self):
         provider = SeedProvider([os_urandom_source()])
-        log = StreamAuditLog()
-        spawn_streams(provider, 3, audit_log=log)
-        entries = log.entries()
+        log = EventLog()
+        spawn_streams(provider, 3, log=log)
+        entries = [e for e in log.entries() if e["kind"] == "spawn"]
         assert [e["stream_index"] for e in entries] == [0, 1, 2]
         assert all(len(e["fingerprint_hex"]) == 64 for e in entries)
-        assert "fingerprint_hex" in log.dump_jsonl()
+        lines = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        assert lines == [{"schema": "dprand.event/1", **e} for e in log.entries()]
 
     def test_duplicate_detected_across_calls_on_one_log(self):
         provider = SeedProvider([fixed_test_source(b"\x42" * 48)], insecure_override=True)
-        log = StreamAuditLog()
-        spawn_streams(provider, 1, nonce="n", audit_log=log)
+        log = EventLog()
+        spawn_streams(provider, 1, nonce="n", log=log)
         with pytest.raises(DuplicateSeed):
-            spawn_streams(provider, 1, nonce="n", audit_log=log)
-        assert len(log.entries()) == 1
+            spawn_streams(provider, 1, nonce="n", log=log)
+        assert len([e for e in log.entries() if e["kind"] == "spawn"]) == 1
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -242,7 +246,7 @@ class TestSpawnStreams:
     def test_no_shared_windows_across_streams(self):
         # quick version; the acceptance suite runs 16 streams at 1 MiB each
         provider = SeedProvider([os_urandom_source()])
-        handles = spawn_streams(provider, 4, audit_log=StreamAuditLog())
+        handles = spawn_streams(provider, 4, log=EventLog())
         seen: dict[bytes, int] = {}
         for idx, h in enumerate(handles):
             data = h.next_bytes(65536)

@@ -4,12 +4,13 @@ import threading
 import pytest
 
 from conftest import scripted_source
-from dprand.entropy import (DiagnosticsLog, EntropyBlock, Resistance, SeedProvider,
-                            SourceDescriptor, SourceKind, emulated_seed_source,
-                            fetch_remote, fixed_test_source, mix, os_urandom_source,
-                            rdrand_source, rdseed_source, read_with_retry, remote_source)
+from dprand.entropy import (EntropyBlock, Resistance, SeedProvider, SourceDescriptor,
+                            SourceKind, emulated_seed_source, fetch_remote,
+                            fixed_test_source, mix, os_urandom_source, rdrand_source,
+                            rdseed_source, read_with_retry, remote_source)
 from dprand.errors import (BadResponse, EmptyInput, InsecureUseRefused, RemoteTimeout,
                            RetryExhausted, SourceUnavailable)
+from dprand.events import EVENTS, EventLog
 from oracle_sha256 import sha256 as oracle_sha256
 
 MIX_KAT_HEX = (
@@ -53,14 +54,15 @@ class TestSourceDescriptor:
 
 class TestReadWithRetry:
     def test_ready_source_single_attempt(self):
-        log = DiagnosticsLog()
+        log = EventLog()
         block = read_with_retry(scripted_source([b"\x11"]), 8, log)
         assert block.data == b"\x11" * 8
-        assert log.entries() == [{"source": "scripted", "attempts": 1,
-                                  "latency_ms": log.entries()[0]["latency_ms"], "bytes": 8}]
+        [entry] = log.entries()
+        assert entry == {"kind": "acquire", "t": entry["t"], "source": "scripted", "reads": 1,
+                         "attempts": 1, "latency_ms": entry["latency_ms"], "bytes": 8}
 
     def test_five_not_ready_then_success(self):
-        log = DiagnosticsLog()
+        log = EventLog()
         block = read_with_retry(scripted_source([None] * 5 + [b"\x22"]), 4, log)
         assert block.data == b"\x22" * 4
         assert log.entries()[0]["attempts"] == 6
@@ -68,13 +70,13 @@ class TestReadWithRetry:
     def test_hardware_rand_exhausts_after_eleven(self):
         src = scripted_source([None] * 50, kind=SourceKind.HARDWARE_RAND)
         with pytest.raises(RetryExhausted) as info:
-            read_with_retry(src, 8, DiagnosticsLog())
+            read_with_retry(src, 8, EventLog())
         assert info.value.attempts == 11
 
     def test_hardware_seed_exhausts_after_101(self):
         src = scripted_source([None] * 200, kind=SourceKind.HARDWARE_SEED)
         with pytest.raises(RetryExhausted) as info:
-            read_with_retry(src, 8, DiagnosticsLog())
+            read_with_retry(src, 8, EventLog())
         assert info.value.attempts == 101
 
     def test_attempt_accounting_over_random_patterns(self):
@@ -82,7 +84,7 @@ class TestReadWithRetry:
         rng = random.Random(1234)
         for _ in range(200):
             failures = rng.randrange(0, 10)
-            log = DiagnosticsLog()
+            log = EventLog()
             read_with_retry(scripted_source([None] * failures + [b"\x33"]), 8, log)
             assert log.entries()[0]["attempts"] == 1 + failures
 
@@ -96,11 +98,11 @@ class TestReadWithRetry:
         for src in (rdrand_source(), rdseed_source()):
             assert not src.available
             with pytest.raises(SourceUnavailable):
-                read_with_retry(src, 8, DiagnosticsLog())
+                read_with_retry(src, 8, EventLog())
 
     def test_os_source_concurrent_reads(self):
         src = os_urandom_source()
-        log = DiagnosticsLog()
+        log = EventLog()
         results = []
 
         def reader():
@@ -182,19 +184,26 @@ class TestMix:
 class TestRemote:
     def test_fetch_passthrough(self, entropy_server):
         url, behavior = entropy_server
-        log = DiagnosticsLog()
-        block = fetch_remote(url, 1024, diagnostics=log)
+        log = EventLog()
+        global_before = len(EVENTS.entries()) + EVENTS.dropped
+        block = read_with_retry(remote_source(url), 1024, log)
         assert block.data == behavior.pattern * 1024
         assert block.resistance_class is Resistance.UNKNOWN
         assert behavior.requests == [1024]
-        assert log.entries()[0]["source"] == "remote"
+        # one record per read, and none more from the fetch, here or in the global log
+        assert len(EVENTS.entries()) + EVENTS.dropped == global_before
+        [entry] = log.entries()
+        assert entry["kind"] == "acquire" and entry["source"] == "remote"
+        assert entry["bytes"] == 1024
 
     def test_latency_is_measured(self, entropy_server):
         url, behavior = entropy_server
         behavior.delay_s = 0.1
-        log = DiagnosticsLog()
-        fetch_remote(url, 64, diagnostics=log)
-        assert log.entries()[0]["latency_ms"] >= 100.0
+        log = EventLog()
+        read_with_retry(remote_source(url), 64, log)
+        [entry] = log.entries()
+        assert entry["kind"] == "acquire"
+        assert entry["latency_ms"] >= 100.0
 
     def test_short_body_is_bad_response(self, entropy_server):
         url, behavior = entropy_server
@@ -221,7 +230,7 @@ class TestRemote:
     def test_remote_source_wraps_fetch(self, entropy_server):
         url, _ = entropy_server
         src = remote_source(url)
-        block = read_with_retry(src, 256, DiagnosticsLog())
+        block = read_with_retry(src, 256, EventLog())
         assert len(block.data) == 256
 
 
@@ -232,30 +241,36 @@ class TestSeedProvider:
             provider()
 
     def test_override_allows_fixed_source_and_is_audited(self):
-        from dprand.entropy import SeedingAuditLog
-        audit = SeedingAuditLog()
+        log = EventLog()
         provider = SeedProvider([fixed_test_source(b"\x42" * 32)],
-                                insecure_override=True, audit_log=audit,
-                                diagnostics=DiagnosticsLog())
+                                insecure_override=True, log=log)
         blocks = provider()
         assert len(blocks) == 1 and blocks[0].data == b"\x42" * 48
-        assert audit.events()[0].insecure_override is True
-        assert audit.events()[0].kinds == ["test_fixed"]
+        [seed] = [e for e in log.entries() if e["kind"] == "seed"]
+        assert seed["insecure_override"] is True
+        assert seed["kinds"] == ["test_fixed"]
+        assert seed["sources"] == ["test-fixed"]
 
     def test_no_unaudited_fixed_seeding_path(self):
-        # every successful provide() leaves an audit event, and a refused one leaves none
-        from dprand.entropy import SeedingAuditLog
-        audit = SeedingAuditLog()
-        provider = SeedProvider([fixed_test_source(b"\x11" * 16)], audit_log=audit)
+        # a refused provide() leaves no seed event; every test_fixed seed event carries the override
+        log = EventLog()
+
+        def seed_events():
+            return [e for e in log.entries() if e["kind"] == "seed"]
+
         with pytest.raises(InsecureUseRefused):
-            provider()
-        assert audit.events() == []
-        for event in audit.events():
-            assert not ("test_fixed" in event.kinds and not event.insecure_override)
+            SeedProvider([os_urandom_source(), fixed_test_source(b"\x11" * 16)], log=log)()
+        assert seed_events() == []
+        SeedProvider([os_urandom_source()], log=log)()
+        SeedProvider([fixed_test_source(b"\x11" * 16)], insecure_override=True, log=log)()
+        events = seed_events()
+        assert [e["kinds"] for e in events] == [["os_device"], ["test_fixed"]]
+        fixed = [e for e in events if "test_fixed" in e["kinds"]]
+        assert fixed and all(e["insecure_override"] is True for e in fixed)
 
     def test_mixes_multiple_sources(self):
         provider = SeedProvider([os_urandom_source(), fixed_test_source(b"\x01" * 48)],
-                                insecure_override=True, diagnostics=DiagnosticsLog())
+                                insecure_override=True, log=EventLog())
         blocks = provider()
         assert [b.source_id for b in blocks] == ["os-urandom", "test-fixed"]
 
@@ -272,15 +287,47 @@ class TestEmulatedSeedSource:
         rand = EntropySource(
             SourceDescriptor("rdrand", SourceKind.HARDWARE_RAND, 8, 10, False),
             counting_fetch, Resistance.ADDITIVE)
-        derived = emulated_seed_source(rand, diagnostics=DiagnosticsLog())
-        block = read_with_retry(derived, 48, DiagnosticsLog())
+        derived = emulated_seed_source(rand, log=EventLog())
+        block = read_with_retry(derived, 48, EventLog())
         assert len(block.data) == 48
         assert len(calls) == 1024  # 512 samples, two 8-byte halves each
         assert block.resistance_class is Resistance.MULTIPLICATIVE
         # deterministic underlying source makes the derived block deterministic
         calls.clear()
-        again = read_with_retry(derived, 48, DiagnosticsLog())
+        again = read_with_retry(derived, 48, EventLog())
         assert again.data == block.data
+
+    def test_not_ready_reads_are_retried_and_counted_in_one_record(self):
+        # each inner read keeps rdrand's contract: up to 10 not-ready signals, then data
+        data = [bytes([i % 251]) for i in range(1024)]
+        rng = random.Random(9)
+        not_ready = {rng.randrange(1023): rng.randrange(1, 11) for _ in range(40)}
+        not_ready[1023] = 10
+        script = []
+        for i, step in enumerate(data):
+            script += [None] * not_ready.get(i, 0) + [step]
+        k = sum(not_ready.values())
+
+        def derive(script, log):
+            rand = scripted_source(script, kind=SourceKind.HARDWARE_RAND, name="rdrand")
+            return read_with_retry(emulated_seed_source(rand, log=log), 48, log).data
+
+        log = EventLog()
+        assert derive(script, log) == derive(data, EventLog())
+        [aggregate] = [e for e in log.entries() if e["source"] == "rdrand"]
+        assert aggregate["kind"] == "acquire"
+        assert (aggregate["reads"], aggregate["attempts"], aggregate["bytes"]) == (1024, 1024 + k, 8192)
+
+    def test_eleven_not_ready_in_a_row_exhausts(self):
+        script = [b"\x01"] * 5 + [None] * 11 + [b"\x02"] * 1024
+        rand = scripted_source(script, kind=SourceKind.HARDWARE_RAND, name="rdrand")
+        log = EventLog()
+        with pytest.raises(RetryExhausted) as info:
+            read_with_retry(emulated_seed_source(rand, log=log), 48, log)
+        assert info.value.attempts == 11
+        [entry] = log.entries()
+        assert (entry["source"], entry["reads"], entry["attempts"], entry["bytes"]) == \
+            ("rdrand", 6, 16, 0)
 
     def test_unavailable_when_underlying_missing(self):
         derived = emulated_seed_source(rdrand_source())
