@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from conftest import scripted_source
+from dprand.bitgen import spawn_streams
 from dprand.entropy import (EntropyBlock, Resistance, SeedProvider, SourceDescriptor,
                             SourceKind, emulated_seed_source, fetch_remote,
                             fixed_test_source, mix, os_urandom_source, rdrand_source,
@@ -332,3 +333,38 @@ class TestEmulatedSeedSource:
     def test_unavailable_when_underlying_missing(self):
         derived = emulated_seed_source(rdrand_source())
         assert not derived.available
+
+
+def counter_fetch():
+    """rdrand stand-in whose i-th fetch (1-based) returns i as n little-endian bytes."""
+    calls = 0
+
+    def fetch(n):
+        nonlocal calls
+        calls += 1
+        return calls.to_bytes(n, "little")
+
+    return fetch
+
+
+class TestSeedingPinned:
+    """Seed, fingerprint and stream bytes of the two-source seeding path, pinned exactly."""
+
+    def test_emulated_seed_read(self):
+        log = EventLog()
+        derived = emulated_seed_source(rdrand_source(counter_fetch()), log=log)
+        assert read_with_retry(derived, 48, log).data.hex() == (
+            "572459fffaf100505bb3f9c8b8bf7dac3f47a6367bda047f"
+            "793d1b2fa07f11038ea3c44e535088ffa3e36e51c7d63658")
+
+    def test_two_source_spawn(self):
+        log = EventLog()
+        emulated = emulated_seed_source(rdrand_source(counter_fetch()), log=log)
+        provider = SeedProvider([fixed_test_source(bytes(range(48))), emulated],
+                                insecure_override=True, log=log)
+        handles = spawn_streams(provider, 2, nonce="pin", log=log)
+        assert [e["fingerprint_hex"] for e in log.entries() if e["kind"] == "spawn"] == [
+            "00067f6bd7507ab59227308409807f466d3a2f640fe5ba1350f0d8be5f7569ac",
+            "4f720eaba32a8c5e25f1ab91f864f7fb50e79232fe573e13e6b487fae263d94d"]
+        assert [h.next_bytes(16).hex() for h in handles] == [
+            "e8895946f4130a713abe86df5752f9a6", "ea449aac400475f5ae2611a3d4a02d67"]
