@@ -12,10 +12,10 @@ from .attack import (AttackTranscript, GeometricInvCdfChannel, IdentityChannel,
 from .bitgen import Backend, GeneratorHandle, spawn_streams
 from .budget import BudgetReport, BudgetSpec, Geolevel, compute_budget, us_2020_spec
 from .drbg import SEED_LEN, CtrDrbg, DrbgConfig, instantiate
-from .entropy import (EntropyBlock, EntropySource, Resistance, SeedProvider,
-                      SourceDescriptor, SourceKind, emulated_seed_source, fetch_remote,
-                      fixed_test_source, mix, os_urandom_source, rdrand_source,
-                      rdseed_source, read_with_retry, remote_source)
+from .entropy import (EntropySource, Resistance, SeedProvider, SourceKind,
+                      emulated_seed_source, fetch_remote, fixed_test_source, mix,
+                      os_urandom_source, rdrand_source, rdseed_source, read_with_retry,
+                      remote_source)
 from .errors import (BadResponse, BadSeedLength, ChannelNotInvertible, DprandError,
                      DuplicateSeed, EmptyInput, InsecureUseRefused, InvalidSpec,
                      RemoteTimeout, RequestTooLarge, ReseedRequired, RetryExhausted,

@@ -12,7 +12,7 @@ import secrets
 from hashlib import sha256
 
 from .drbg import SEED_LEN, CtrDrbg, DrbgConfig
-from .entropy import EntropyBlock, mix
+from .entropy import mix
 from .events import EVENTS, EventLog
 from .mt19937 import N, Mt19937, MtState
 
@@ -118,10 +118,10 @@ def spawn_streams(seed_root, count: int, *,
                   tag_builder=_default_tag) -> list[GeneratorHandle]:
     """Derive `count` independent DRBG-backed handles.
 
-    seed_root is a callable returning fresh EntropyBlocks per invocation
-    (a SeedProvider fits). Each stream's seed is mix(blocks, tag) where the
-    tag carries a per-run nonce and the stream index, so even byte-identical
-    entropy cannot produce byte-identical streams. Identical seed material
+    seed_root is a callable returning a fresh list of byte strings per
+    invocation (a SeedProvider fits). Each stream's seed is mix(chunks, tag)
+    where the tag carries a per-run nonce and the stream index, so even
+    byte-identical entropy cannot produce byte-identical streams. Identical seed material
     AND identical tags still collide, and that collision is the clone hazard:
     spawn fails closed with DuplicateSeed, against every seed the event log
     has ever recorded (evicted spawn records included), instead of returning twins.
@@ -133,10 +133,7 @@ def spawn_streams(seed_root, count: int, *,
     log = log if log is not None else EVENTS
     handles = []
     for index in range(count):
-        blocks = seed_root()
-        if isinstance(blocks, EntropyBlock):
-            blocks = [blocks]
-        seed = mix(list(blocks), SEED_LEN, tag_builder(nonce, index))
+        seed = mix(list(seed_root()), SEED_LEN, tag_builder(nonce, index))
         log.record_spawn(index, sha256(seed).hexdigest())
         handles.append(GeneratorHandle.from_drbg_seed(seed, config))
     return handles

@@ -115,7 +115,7 @@ def run_selftest(kat_dir=None) -> list[tuple[str, bool, str]]:
         checks.append((f"drbg-kat {r.vector.name}", r.ok,
                        r.message or ("skipped" if r.status == "skip" else "byte-exact")))
 
-    got = entropy.mix([entropy.EntropyBlock(bytes(48), "zero")], 48, "seed").hex()
+    got = entropy.mix([bytes(48)], 48, "seed").hex()
     checks.append(("mix-kat zero-block", got == MIX_KAT_HEX,
                    "regression vector match" if got == MIX_KAT_HEX else f"got {got}"))
 
@@ -171,19 +171,18 @@ def _cmd_entropy(args) -> int:
         source = entropy.fixed_test_source(b"\xA5" * 32)
     else:
         raise DprandError(f"unknown source {args.source!r}")
-    n = min(args.n, source.descriptor.block_size)
-    block = entropy.read_with_retry(source, n, log)
+    data = entropy.read_with_retry(source, min(args.n, source.block_size), log)
     payload = {
         "schema": "dprand.entropy-probe/1",
-        "source": block.source_id,
-        "resistance_class": block.resistance_class.value,
-        "bytes": len(block.data),
-        "sample_hex": block.data[:16].hex(),
+        "source": source.name,
+        "resistance_class": source.resistance.value,
+        "bytes": len(data),
+        "sample_hex": data[:16].hex(),
         "diagnostics": log.entries(),
     }
-    text = (f"{block.source_id}: {len(block.data)} bytes "
-            f"(resistance: {block.resistance_class.value})\n"
-            f"first bytes: {block.data[:16].hex()}\n"
+    text = (f"{source.name}: {len(data)} bytes "
+            f"(resistance: {source.resistance.value})\n"
+            f"first bytes: {data[:16].hex()}\n"
             f"diagnostics: {log.to_jsonl()}")
     _emit(args, payload, text)
     return 0

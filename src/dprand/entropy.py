@@ -1,10 +1,10 @@
 """Entropy acquisition and conditioning.
 
 Raw bits come from several kinds of source (OS device, hardware-style
-instructions, a remote service, fixed test doubles); a hash-based extractor
-mixes any number of blocks into full-entropy seed material. A stuck or
-hostile source can therefore never cancel another source's contribution,
-which a bare XOR combiner would allow.
+instructions, a remote service, fixed test doubles) as plain bytes; a
+hash-based extractor mixes any number of byte strings into full-entropy
+seed material. A stuck or hostile source can therefore never cancel
+another source's contribution, which a bare XOR combiner would allow.
 """
 from __future__ import annotations
 
@@ -15,15 +15,16 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from hashlib import sha256
 
 from .errors import (BadResponse, EmptyInput, InsecureUseRefused, RemoteTimeout,
                      RetryExhausted, SourceUnavailable)
 from .events import EVENTS, EventLog
 
-MAX_BLOCK_LEN = 1024
+MAX_BLOCK_LEN = 1024  # longest single read, and longest chunk mix accepts
 MAX_MIX_LEN = 64  # two hash outputs via the counter expansion
+SEED_READ_LEN = 48  # bytes a SeedProvider reads from each source per call
+EMULATION_SAMPLES = 512  # 16-byte fast-rand samples hashed into one emulated seed block
 
 RDRAND_RETRIES = 10    # tight-loop retries recommended for the fast instruction
 RDSEED_RETRIES = 100   # seed-grade instruction: more retries, with a pause each time
@@ -45,55 +46,35 @@ class SourceKind(enum.Enum):
     TEST_FIXED = "test_fixed"
 
 
-@dataclass(frozen=True)
-class EntropyBlock:
-    """A bounded run of raw bytes tagged with where it came from."""
-
-    data: bytes
-    source_id: str
-    resistance_class: Resistance = Resistance.UNKNOWN
-
-    def __post_init__(self):
-        if not 0 < len(self.data) <= MAX_BLOCK_LEN:
-            raise ValueError(f"block length must be in [1, {MAX_BLOCK_LEN}], got {len(self.data)}")
-
-
-@dataclass(frozen=True)
-class SourceDescriptor:
-    name: str
-    kind: SourceKind
-    block_size: int
-    retry_limit: int = 0
-    pause_between_retries: bool = False
-
-    def __post_init__(self):
-        if self.kind is SourceKind.HARDWARE_RAND:
-            if self.retry_limit != RDRAND_RETRIES or self.pause_between_retries:
-                raise ValueError("hardware_rand sources retry 10 times with no pause")
-        if self.kind is SourceKind.HARDWARE_SEED:
-            if self.retry_limit != RDSEED_RETRIES or not self.pause_between_retries:
-                raise ValueError("hardware_seed sources retry 100 times with a pause")
+# (retries after the first attempt, pause between retries, resistance) fixed by each kind
+_KIND_POLICY = {
+    SourceKind.HARDWARE_RAND: (RDRAND_RETRIES, False, Resistance.ADDITIVE),
+    SourceKind.HARDWARE_SEED: (RDSEED_RETRIES, True, Resistance.MULTIPLICATIVE),
+    SourceKind.OS_DEVICE: (0, False, Resistance.ADDITIVE),
+    SourceKind.REMOTE_SERVICE: (0, False, Resistance.UNKNOWN),
+    SourceKind.TEST_FIXED: (0, False, Resistance.UNKNOWN),
+}
 
 
 class EntropySource:
-    """A descriptor plus the fetch primitive that actually produces bytes.
+    """A named source of one kind plus the fetch primitive that actually produces bytes.
 
-    fetch(n) returns n bytes when the source is ready and None when it
-    signals not-ready (the carry-flag-cleared analogue). A missing fetch
-    means the source does not exist on this platform; we surface that rather
-    than silently substituting another source, so fallback stays a caller
-    decision.
+    The kind fixes the retry budget, the pause between retries and the
+    resistance class. fetch(n) returns n bytes when the source is ready and
+    None when it signals not-ready (the carry-flag-cleared analogue). A
+    missing fetch means the source does not exist on this platform; we
+    surface that rather than silently substituting another source, so
+    fallback stays a caller decision.
     """
 
-    def __init__(self, descriptor: SourceDescriptor, fetch=None,
-                 resistance: Resistance = Resistance.UNKNOWN):
-        self.descriptor = descriptor
+    def __init__(self, name: str, kind: SourceKind, block_size: int, fetch=None):
+        if not 1 <= block_size <= MAX_BLOCK_LEN:
+            raise ValueError(f"block size must be in [1, {MAX_BLOCK_LEN}], got {block_size}")
+        self.name = name
+        self.kind = kind
+        self.block_size = block_size
+        self.retry_limit, self.pause, self.resistance = _KIND_POLICY[kind]
         self._fetch = fetch
-        self.resistance = resistance
-
-    @property
-    def name(self) -> str:
-        return self.descriptor.name
 
     @property
     def available(self) -> bool:
@@ -110,18 +91,17 @@ def _read(source: EntropySource, n: int) -> tuple[bytes | None, int]:
 
     Writes no record: callers log one record per read, or one per loop of reads.
     """
-    desc = source.descriptor
-    if n < 1 or n > desc.block_size:
-        raise ValueError(f"read size must be in [1, {desc.block_size}] for {source.name!r}")
+    if n < 1 or n > source.block_size:
+        raise ValueError(f"read size must be in [1, {source.block_size}] for {source.name!r}")
     attempts = 0
-    while attempts <= desc.retry_limit:
+    while attempts <= source.retry_limit:
         attempts += 1
         data = source.fetch_once(n)
         if data is not None:
             if len(data) != n:
                 raise BadResponse(f"source {source.name!r} returned {len(data)} bytes, wanted {n}")
             return data, attempts
-        if desc.pause_between_retries:
+        if source.pause:
             time.sleep(0)  # yield the core, mirroring a PAUSE in the retry loop
     return None, attempts
 
@@ -133,8 +113,8 @@ def _log_acquire(log: EventLog, source: str, reads: int, attempts: int, start: f
 
 
 def read_with_retry(source: EntropySource, n: int,
-                    log: EventLog | None = None) -> EntropyBlock:
-    """Read exactly n bytes, retrying not-ready signals up to the descriptor's budget.
+                    log: EventLog | None = None) -> bytes:
+    """Read exactly n bytes, retrying not-ready signals up to the source's budget.
 
     Total attempts are 1 + retry_limit before RetryExhausted; one acquire
     record with the attempt count and latency lands in the log either way.
@@ -145,29 +125,34 @@ def read_with_retry(source: EntropySource, n: int,
     _log_acquire(log, source.name, 1, attempts, start, n if data is not None else 0)
     if data is None:
         raise RetryExhausted(source.name, attempts)
-    return EntropyBlock(data, source.name, source.resistance)
+    return data
 
 
-def _length_prefixed(chunks) -> bytes:
-    out = bytearray()
-    for chunk in chunks:
-        out += struct.pack(">Q", len(chunk))
-        out += chunk
-    return bytes(out)
+_LENGTH = struct.Struct(">Q")
 
 
-def mix(blocks: list[EntropyBlock], out_len: int, domain_tag: str) -> bytes:
-    """Condition blocks into out_len bytes with a hash extractor.
+def mix(chunks: list[bytes], out_len: int, domain_tag: str) -> bytes:
+    """Condition byte strings into out_len bytes with a hash extractor.
 
-    Deterministic in (blocks, out_len, domain_tag). The payload is the
-    length-prefixed concatenation of the tag and every block, hashed under
-    an output-block counter when out_len exceeds one digest.
+    Deterministic in (chunks, out_len, domain_tag). Each chunk must be bytes
+    of length 1..MAX_BLOCK_LEN, so a bare bytes object passed where a list
+    of chunks belongs is refused rather than read as ints. The payload is
+    the length-prefixed concatenation of the tag and every chunk, hashed
+    under an output-block counter when out_len exceeds one digest.
     """
-    if not blocks:
-        raise EmptyInput("refusing to derive seed material from zero entropy blocks")
+    if not chunks:
+        raise EmptyInput("refusing to derive seed material from zero entropy chunks")
     if not 1 <= out_len <= MAX_MIX_LEN:
         raise ValueError(f"mix output length must be in [1, {MAX_MIX_LEN}]")
-    payload = _length_prefixed([domain_tag.encode()] + [b.data for b in blocks])
+    tag = domain_tag.encode()
+    parts = [_LENGTH.pack(len(tag)), tag]
+    for chunk in chunks:
+        if not isinstance(chunk, bytes):
+            raise TypeError(f"mix chunks must be bytes, got {type(chunk).__name__}")
+        if not 0 < len(chunk) <= MAX_BLOCK_LEN:
+            raise ValueError(f"chunk length must be in [1, {MAX_BLOCK_LEN}], got {len(chunk)}")
+        parts += (_LENGTH.pack(len(chunk)), chunk)
+    payload = b"".join(parts)
     out = bytearray()
     counter = 0
     while len(out) < out_len:
@@ -181,51 +166,46 @@ def mix(blocks: list[EntropyBlock], out_len: int, domain_tag: str) -> bytes:
 _OS_LOCK = threading.Lock()  # one pool, one lock, like the device it stands in for
 
 
-def os_urandom_source(block_size: int = 4096) -> EntropySource:
+def os_urandom_source() -> EntropySource:
     """The operating system's pooled generator; reads serialize internally."""
 
     def fetch(n: int) -> bytes:
         with _OS_LOCK:
             return os.urandom(n)
 
-    desc = SourceDescriptor("os-urandom", SourceKind.OS_DEVICE, block_size)
-    return EntropySource(desc, fetch, Resistance.ADDITIVE)
+    return EntropySource("os-urandom", SourceKind.OS_DEVICE, MAX_BLOCK_LEN, fetch)
 
 
 def rdrand_source(fetch=None) -> EntropySource:
     """Hardware fast-rand instruction; unavailable without a native fetcher."""
-    desc = SourceDescriptor("rdrand", SourceKind.HARDWARE_RAND, 8,
-                            retry_limit=RDRAND_RETRIES, pause_between_retries=False)
-    return EntropySource(desc, fetch, Resistance.ADDITIVE)
+    return EntropySource("rdrand", SourceKind.HARDWARE_RAND, 8, fetch)
 
 
 def rdseed_source(fetch=None) -> EntropySource:
     """Hardware seed-grade instruction; unavailable without a native fetcher."""
-    desc = SourceDescriptor("rdseed", SourceKind.HARDWARE_SEED, 8,
-                            retry_limit=RDSEED_RETRIES, pause_between_retries=True)
-    return EntropySource(desc, fetch, Resistance.MULTIPLICATIVE)
+    return EntropySource("rdseed", SourceKind.HARDWARE_SEED, 8, fetch)
 
 
 def fixed_test_source(data: bytes, name: str = "test-fixed") -> EntropySource:
     """Deterministic test double; production seeding refuses it without an override."""
+    if not data:
+        raise EmptyInput("a fixed test source needs at least one byte to repeat")
 
     def fetch(n: int) -> bytes:
         reps = (n + len(data) - 1) // len(data)
         return (data * reps)[:n]
 
-    desc = SourceDescriptor(name, SourceKind.TEST_FIXED, MAX_BLOCK_LEN)
-    return EntropySource(desc, fetch, Resistance.UNKNOWN)
+    return EntropySource(name, SourceKind.TEST_FIXED, MAX_BLOCK_LEN, fetch)
 
 
 def emulated_seed_source(rand_source: EntropySource,
-                         samples: int = 512,
                          log: EventLog | None = None) -> EntropySource:
     """Derive a seed-grade source from a fast-rand source.
 
-    Hashes `samples` 16-byte reads into one output block, so at least one
-    fresh internal reseed of the underlying generator lands in every block.
-    Each 8-byte read keeps the source's retry contract; the 2 * samples reads
-    of one block share a single acquire record.
+    Hashes EMULATION_SAMPLES 16-byte reads into one output block, so at
+    least one fresh internal reseed of the underlying generator lands in
+    every block. Each 8-byte read keeps the source's retry contract; the
+    reads of one block share a single acquire record.
     """
     log = log if log is not None else EVENTS
 
@@ -233,7 +213,7 @@ def emulated_seed_source(rand_source: EntropySource,
         start = time.monotonic()
         halves = []
         total = 0
-        for _ in range(2 * samples):
+        for _ in range(2 * EMULATION_SAMPLES):
             data, attempts = _read(rand_source, 8)
             total += attempts
             if data is None:
@@ -241,18 +221,14 @@ def emulated_seed_source(rand_source: EntropySource,
                 raise RetryExhausted(rand_source.name, attempts)
             halves.append(data)
         _log_acquire(log, rand_source.name, len(halves), total, start, 8 * len(halves))
-        blocks = [EntropyBlock(halves[i] + halves[i + 1], rand_source.name, rand_source.resistance)
-                  for i in range(0, len(halves), 2)]
-        return mix(blocks, n, "rdseed-emulation")
+        samples = [halves[i] + halves[i + 1] for i in range(0, len(halves), 2)]
+        return mix(samples, n, "rdseed-emulation")
 
-    desc = SourceDescriptor(f"{rand_source.name}-seed-emulation", SourceKind.HARDWARE_SEED,
-                            MAX_MIX_LEN, retry_limit=RDSEED_RETRIES, pause_between_retries=True)
-    if not rand_source.available:
-        fetch = None
-    return EntropySource(desc, fetch, Resistance.MULTIPLICATIVE)
+    return EntropySource(f"{rand_source.name}-seed-emulation", SourceKind.HARDWARE_SEED,
+                         MAX_MIX_LEN, fetch if rand_source.available else None)
 
 
-def fetch_remote(endpoint: str, n: int, timeout: float = 5.0) -> EntropyBlock:
+def fetch_remote(endpoint: str, n: int, timeout: float = 5.0) -> bytes:
     """GET {endpoint}/entropy?n=N and return exactly n raw bytes.
 
     One request per call, n capped at the service's 1024-byte chunk size.
@@ -277,49 +253,45 @@ def fetch_remote(endpoint: str, n: int, timeout: float = 5.0) -> EntropyBlock:
         raise BadResponse(f"{url} answered status {status}")
     if len(body) != n:
         raise BadResponse(f"{url} returned {len(body)} bytes, wanted {n}")
-    return EntropyBlock(body, "remote", Resistance.UNKNOWN)
+    return body
 
 
 def remote_source(endpoint: str, timeout: float = 5.0) -> EntropySource:
     def fetch(n: int) -> bytes:
-        return fetch_remote(endpoint, n, timeout).data
+        return fetch_remote(endpoint, n, timeout)
 
-    desc = SourceDescriptor("remote", SourceKind.REMOTE_SERVICE, MAX_BLOCK_LEN)
-    return EntropySource(desc, fetch, Resistance.UNKNOWN)
+    return EntropySource("remote", SourceKind.REMOTE_SERVICE, MAX_BLOCK_LEN, fetch)
 
 
 # --- production seeding path ---
 
 class SeedProvider:
-    """Reads one block from every configured source per call.
+    """Reads SEED_READ_LEN bytes (fewer if its reads are smaller) from every source per call.
 
     This is the production gateway between raw sources and anything that
     seeds a generator: a test_fixed source is refused outright unless the
     caller sets insecure_override, and each provide() writes a seed record.
     """
 
-    def __init__(self, sources: list[EntropySource], block_len: int = 48, *,
+    def __init__(self, sources: list[EntropySource], *,
                  insecure_override: bool = False,
-                 log: EventLog | None = None,
-                 purpose: str = "seed"):
+                 log: EventLog | None = None):
         if not sources:
             raise EmptyInput("a seed provider needs at least one source")
         self.sources = sources
-        self.block_len = block_len
         self.insecure_override = insecure_override
         self.log = log if log is not None else EVENTS
-        self.purpose = purpose
 
-    def __call__(self) -> list[EntropyBlock]:
+    def __call__(self) -> list[bytes]:
         for src in self.sources:
-            if src.descriptor.kind is SourceKind.TEST_FIXED and not self.insecure_override:
+            if src.kind is SourceKind.TEST_FIXED and not self.insecure_override:
                 raise InsecureUseRefused(
                     f"source {src.name!r} is a fixed test double; "
                     "pass insecure_override=True to seed from it anyway")
-        blocks = [read_with_retry(src, min(self.block_len, src.descriptor.block_size), self.log)
+        chunks = [read_with_retry(src, min(SEED_READ_LEN, src.block_size), self.log)
                   for src in self.sources]
-        self.log.record("seed", purpose=self.purpose,
+        self.log.record("seed", purpose="seed",
                         sources=[s.name for s in self.sources],
-                        kinds=[s.descriptor.kind.value for s in self.sources],
+                        kinds=[s.kind.value for s in self.sources],
                         insecure_override=self.insecure_override)
-        return blocks
+        return chunks

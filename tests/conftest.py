@@ -6,7 +6,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from dprand.entropy import (EntropySource, Resistance, SourceDescriptor, SourceKind)
+from dprand.entropy import EntropySource, SourceKind
 
 
 @dataclass
@@ -53,13 +53,14 @@ def entropy_server():
         yield f"http://127.0.0.1:{server.server_port}", behavior
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=2)
 
 
-def scripted_source(script, kind=SourceKind.OS_DEVICE, name="scripted",
-                    retry_limit=10, pause=False, block_size=1024):
+def scripted_source(script, kind=SourceKind.OS_DEVICE, name="scripted", block_size=1024):
     """Source whose fetch pops outcomes from `script`: None means not-ready,
-    bytes are returned as-is, and a callable is invoked for the data."""
+    bytes are returned as-is, and a callable is invoked for the data.
+    The kind fixes the retry budget, as for every source."""
     remaining = list(script)
 
     def fetch(n):
@@ -70,9 +71,4 @@ def scripted_source(script, kind=SourceKind.OS_DEVICE, name="scripted",
             return step(n)
         return (step * n)[:n]
 
-    if kind is SourceKind.HARDWARE_RAND:
-        retry_limit, pause = 10, False
-    elif kind is SourceKind.HARDWARE_SEED:
-        retry_limit, pause = 100, True
-    desc = SourceDescriptor(name, kind, block_size, retry_limit, pause)
-    return EntropySource(desc, fetch, Resistance.UNKNOWN)
+    return EntropySource(name, kind, block_size, fetch)

@@ -15,7 +15,7 @@ from dprand.attack import MIN_CELLS, predict_outputs, reconstruct_state, sparse_
 from dprand.bitgen import GeneratorHandle, spawn_streams
 from dprand.budget import compute_budget, us_2020_spec
 from dprand.drbg import SEED_LEN, CtrDrbg, DrbgConfig
-from dprand.entropy import EntropyBlock, SeedProvider, fixed_test_source, mix
+from dprand.entropy import SeedProvider, fixed_test_source, mix
 from dprand.errors import DuplicateSeed, ReseedRequired
 from dprand.events import EventLog
 from dprand.kat import bundled_vector_dir, run_kat_dir
@@ -210,7 +210,7 @@ def test_criterion_7b_shared_lock_contention(bench_report):
 def test_criterion_8_statistical_calibration():
     trials = 1000
     sample_bytes = 1_000_000
-    master = EntropyBlock(b"\x08" * 48, "calibration")
+    master = b"\x08" * 48
     rejections = {"monobit": 0, "runs": 0, "byte-chi2": 0}
     for i in range(trials):
         seed = mix([master], SEED_LEN, f"calibration/{i}")

@@ -221,6 +221,13 @@ class TestSpawnStreams:
             spawn_streams(provider, 2, nonce="n", log=EventLog(),
                           tag_builder=lambda nonce, index: "same-tag-every-time")
 
+    def test_bare_bytes_seed_root_is_refused(self):
+        # a seed root must return a list of chunks; bare bytes would be read as ints
+        log = EventLog()
+        with pytest.raises(TypeError):
+            spawn_streams(lambda: b"\x42" * 48, 1, log=log)
+        assert log.entries() == []
+
     def test_audit_log_records_every_stream(self):
         provider = SeedProvider([os_urandom_source()])
         log = EventLog()

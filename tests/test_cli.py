@@ -138,6 +138,12 @@ class TestEntropyCommand:
         assert doc["bytes"] == 16
         assert doc["diagnostics"][0]["attempts"] == 1
 
+    def test_probe_clamps_to_the_source_read_cap(self, capsys):
+        code, doc = run_json(capsys, ["entropy", "probe", "--n", "2000", "--json"])
+        assert code == 0
+        assert doc["bytes"] == 1024
+        assert [e["bytes"] for e in doc["diagnostics"]] == [1024]
+
     def test_probe_fixed_needs_override(self, capsys):
         assert cli.run(["entropy", "probe", "--source", "fixed"]) == 1
         assert cli.run(["entropy", "probe", "--source", "fixed", "--insecure-override"]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import scripted_source
 from dprand.bitgen import spawn_streams
-from dprand.entropy import (EntropyBlock, Resistance, SeedProvider, SourceDescriptor,
+from dprand.entropy import (MAX_BLOCK_LEN, EntropySource, Resistance, SeedProvider,
                             SourceKind, emulated_seed_source, fetch_remote,
                             fixed_test_source, mix, os_urandom_source, rdrand_source,
                             rdseed_source, read_with_retry, remote_source)
@@ -19,53 +19,18 @@ MIX_KAT_HEX = (
     "f298acad7bca7660b8abc91e9f8f7feb")
 
 
-def blk(data, source="t"):
-    return EntropyBlock(data, source)
-
-
-class TestEntropyBlock:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            EntropyBlock(b"", "x")
-
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            EntropyBlock(b"\0" * 1025, "x")
-
-    def test_boundary_ok(self):
-        assert len(EntropyBlock(b"\0" * 1024, "x").data) == 1024
-
-
-class TestSourceDescriptor:
-    def test_hardware_rand_retry_contract(self):
-        with pytest.raises(ValueError):
-            SourceDescriptor("r", SourceKind.HARDWARE_RAND, 8, retry_limit=5)
-        with pytest.raises(ValueError):
-            SourceDescriptor("r", SourceKind.HARDWARE_RAND, 8, retry_limit=10,
-                             pause_between_retries=True)
-
-    def test_hardware_seed_retry_contract(self):
-        with pytest.raises(ValueError):
-            SourceDescriptor("s", SourceKind.HARDWARE_SEED, 8, retry_limit=10,
-                             pause_between_retries=True)
-        desc = SourceDescriptor("s", SourceKind.HARDWARE_SEED, 8, retry_limit=100,
-                                pause_between_retries=True)
-        assert desc.pause_between_retries
-
-
 class TestReadWithRetry:
     def test_ready_source_single_attempt(self):
         log = EventLog()
-        block = read_with_retry(scripted_source([b"\x11"]), 8, log)
-        assert block.data == b"\x11" * 8
+        assert read_with_retry(scripted_source([b"\x11"]), 8, log) == b"\x11" * 8
         [entry] = log.entries()
         assert entry == {"kind": "acquire", "t": entry["t"], "source": "scripted", "reads": 1,
                          "attempts": 1, "latency_ms": entry["latency_ms"], "bytes": 8}
 
     def test_five_not_ready_then_success(self):
         log = EventLog()
-        block = read_with_retry(scripted_source([None] * 5 + [b"\x22"]), 4, log)
-        assert block.data == b"\x22" * 4
+        src = scripted_source([None] * 5 + [b"\x22"], kind=SourceKind.HARDWARE_RAND)
+        assert read_with_retry(src, 4, log) == b"\x22" * 4
         assert log.entries()[0]["attempts"] == 6
 
     def test_hardware_rand_exhausts_after_eleven(self):
@@ -80,13 +45,19 @@ class TestReadWithRetry:
             read_with_retry(src, 8, EventLog())
         assert info.value.attempts == 101
 
+    def test_os_device_does_not_retry(self):
+        with pytest.raises(RetryExhausted) as info:
+            read_with_retry(scripted_source([None, b"\x11"]), 8, EventLog())
+        assert info.value.attempts == 1
+
     def test_attempt_accounting_over_random_patterns(self):
         # attempts must equal 1 + not-ready count for every failure pattern
         rng = random.Random(1234)
         for _ in range(200):
             failures = rng.randrange(0, 10)
             log = EventLog()
-            read_with_retry(scripted_source([None] * failures + [b"\x33"]), 8, log)
+            src = scripted_source([None] * failures + [b"\x33"], kind=SourceKind.HARDWARE_RAND)
+            read_with_retry(src, 8, log)
             assert log.entries()[0]["attempts"] == 1 + failures
 
     def test_read_size_bounds(self):
@@ -94,6 +65,19 @@ class TestReadWithRetry:
             read_with_retry(scripted_source([b"\x11"], block_size=16), 17)
         with pytest.raises(ValueError):
             read_with_retry(scripted_source([b"\x11"]), 0)
+
+    def test_os_source_reads_are_capped_before_the_fetch(self):
+        log = EventLog()
+        src = os_urandom_source()
+        assert src.block_size == MAX_BLOCK_LEN
+        with pytest.raises(ValueError):
+            read_with_retry(src, MAX_BLOCK_LEN + 1, log)
+        assert log.entries() == []
+        assert len(read_with_retry(src, MAX_BLOCK_LEN, log)) == MAX_BLOCK_LEN
+
+    def test_source_block_size_bounded_by_mixable_chunk(self):
+        with pytest.raises(ValueError):
+            EntropySource("big", SourceKind.OS_DEVICE, MAX_BLOCK_LEN + 1, lambda n: bytes(n))
 
     def test_unavailable_platform_source(self):
         for src in (rdrand_source(), rdseed_source()):
@@ -107,7 +91,7 @@ class TestReadWithRetry:
         results = []
 
         def reader():
-            results.append(read_with_retry(src, 32, log).data)
+            results.append(read_with_retry(src, 32, log))
 
         threads = [threading.Thread(target=reader) for _ in range(8)]
         for t in threads:
@@ -119,17 +103,34 @@ class TestReadWithRetry:
 
 
 class TestMix:
+    def test_rejects_empty_chunk(self):
+        with pytest.raises(ValueError):
+            mix([b"x", b""], 48, "seed")
+
+    def test_rejects_oversized_chunk(self):
+        with pytest.raises(ValueError):
+            mix([b"\0" * 1025], 48, "seed")
+
+    def test_chunk_boundary_ok(self):
+        assert len(mix([b"\0" * 1024], 48, "seed")) == 48
+
+    def test_rejects_non_bytes_chunk(self):
+        # a bare bytes object where a list of chunks belongs iterates as ints
+        for chunks in (b"\x42" * 48, [bytearray(b"x")], ["x"]):
+            with pytest.raises(TypeError):
+                mix(chunks, 48, "seed")
+
     def test_deterministic(self):
-        blocks = [blk(b"alpha" * 4), blk(b"beta" * 6)]
+        blocks = [b"alpha" * 4, b"beta" * 6]
         assert mix(blocks, 48, "seed") == mix(blocks, 48, "seed")
 
     def test_domain_separation(self):
-        blocks = [blk(b"alpha" * 4)]
+        blocks = [b"alpha" * 4]
         assert mix(blocks, 48, "seed") != mix(blocks, 48, "stream")
 
     def test_known_answer_zero_block(self):
         # pinned once from an independent from-scratch hash implementation
-        got = mix([blk(b"\x00" * 48, "zero")], 48, "seed")
+        got = mix([b"\x00" * 48], 48, "seed")
         assert got.hex() == MIX_KAT_HEX
 
     def test_known_answer_matches_oracle_reconstruction(self):
@@ -147,14 +148,14 @@ class TestMix:
 
     def test_output_length_bounds(self):
         with pytest.raises(ValueError):
-            mix([blk(b"x")], 65, "seed")
-        assert len(mix([blk(b"x")], 64, "seed")) == 64
-        assert len(mix([blk(b"x")], 1, "seed")) == 1
+            mix([b"x"], 65, "seed")
+        assert len(mix([b"x"], 64, "seed")) == 64
+        assert len(mix([b"x"], 1, "seed")) == 1
 
     def test_length_prefixing_blocks_boundary_shift(self):
         # same concatenation, different block split, must not collide
-        a = mix([blk(b"ab"), blk(b"c")], 32, "t")
-        b = mix([blk(b"a"), blk(b"bc")], 32, "t")
+        a = mix([b"ab", b"c"], 32, "t")
+        b = mix([b"a", b"bc"], 32, "t")
         assert a != b
 
     def test_avalanche(self):
@@ -165,10 +166,10 @@ class TestMix:
         flip_counts = [0] * out_bits
         for _ in range(trials):
             data = bytearray(rng.randbytes(48))
-            base = mix([blk(bytes(data))], 48, "avalanche")
+            base = mix([bytes(data)], 48, "avalanche")
             pos = rng.randrange(48 * 8)
             data[pos // 8] ^= 1 << (pos % 8)
-            flipped = mix([blk(bytes(data))], 48, "avalanche")
+            flipped = mix([bytes(data)], 48, "avalanche")
             diff = int.from_bytes(base, "big") ^ int.from_bytes(flipped, "big")
             for i in range(out_bits):
                 flip_counts[i] += (diff >> i) & 1
@@ -178,7 +179,7 @@ class TestMix:
     def test_second_source_never_a_noop(self):
         rng = random.Random(88)
         for _ in range(1000):
-            a, b = blk(rng.randbytes(32)), blk(rng.randbytes(32))
+            a, b = rng.randbytes(32), rng.randbytes(32)
             assert mix([a, b], 48, "t") != mix([a], 48, "t")
 
 
@@ -187,9 +188,9 @@ class TestRemote:
         url, behavior = entropy_server
         log = EventLog()
         global_before = len(EVENTS.entries()) + EVENTS.dropped
-        block = read_with_retry(remote_source(url), 1024, log)
-        assert block.data == behavior.pattern * 1024
-        assert block.resistance_class is Resistance.UNKNOWN
+        src = remote_source(url)
+        assert read_with_retry(src, 1024, log) == behavior.pattern * 1024
+        assert src.resistance is Resistance.UNKNOWN
         assert behavior.requests == [1024]
         # one record per read, and none more from the fetch, here or in the global log
         assert len(EVENTS.entries()) + EVENTS.dropped == global_before
@@ -231,11 +232,14 @@ class TestRemote:
     def test_remote_source_wraps_fetch(self, entropy_server):
         url, _ = entropy_server
         src = remote_source(url)
-        block = read_with_retry(src, 256, EventLog())
-        assert len(block.data) == 256
+        assert len(read_with_retry(src, 256, EventLog())) == 256
 
 
 class TestSeedProvider:
+    def test_empty_fixed_source_refused_at_construction(self):
+        with pytest.raises(EmptyInput):
+            fixed_test_source(b"")
+
     def test_refuses_fixed_source_without_override(self):
         provider = SeedProvider([fixed_test_source(b"\x42" * 32)])
         with pytest.raises(InsecureUseRefused):
@@ -245,8 +249,7 @@ class TestSeedProvider:
         log = EventLog()
         provider = SeedProvider([fixed_test_source(b"\x42" * 32)],
                                 insecure_override=True, log=log)
-        blocks = provider()
-        assert len(blocks) == 1 and blocks[0].data == b"\x42" * 48
+        assert provider() == [b"\x42" * 48]
         [seed] = [e for e in log.entries() if e["kind"] == "seed"]
         assert seed["insecure_override"] is True
         assert seed["kinds"] == ["test_fixed"]
@@ -270,10 +273,17 @@ class TestSeedProvider:
         assert fixed and all(e["insecure_override"] is True for e in fixed)
 
     def test_mixes_multiple_sources(self):
+        log = EventLog()
         provider = SeedProvider([os_urandom_source(), fixed_test_source(b"\x01" * 48)],
-                                insecure_override=True, log=EventLog())
-        blocks = provider()
-        assert [b.source_id for b in blocks] == ["os-urandom", "test-fixed"]
+                                insecure_override=True, log=log)
+        chunks = provider()
+        assert len(chunks) == 2 and chunks[1] == b"\x01" * 48
+        # provenance is in the log: one acquire per source in order, then the seed record
+        entries = log.entries()
+        assert [(e["kind"], e.get("source")) for e in entries] == [
+            ("acquire", "os-urandom"), ("acquire", "test-fixed"), ("seed", None)]
+        assert entries[-1]["sources"] == ["os-urandom", "test-fixed"]
+        assert entries[-1]["purpose"] == "seed"
 
 
 class TestEmulatedSeedSource:
@@ -284,19 +294,15 @@ class TestEmulatedSeedSource:
             calls.append(n)
             return b"\x5A" * n
 
-        from dprand.entropy import EntropySource
-        rand = EntropySource(
-            SourceDescriptor("rdrand", SourceKind.HARDWARE_RAND, 8, 10, False),
-            counting_fetch, Resistance.ADDITIVE)
+        rand = EntropySource("rdrand", SourceKind.HARDWARE_RAND, 8, counting_fetch)
         derived = emulated_seed_source(rand, log=EventLog())
         block = read_with_retry(derived, 48, EventLog())
-        assert len(block.data) == 48
+        assert len(block) == 48
         assert len(calls) == 1024  # 512 samples, two 8-byte halves each
-        assert block.resistance_class is Resistance.MULTIPLICATIVE
+        assert derived.resistance is Resistance.MULTIPLICATIVE
         # deterministic underlying source makes the derived block deterministic
         calls.clear()
-        again = read_with_retry(derived, 48, EventLog())
-        assert again.data == block.data
+        assert read_with_retry(derived, 48, EventLog()) == block
 
     def test_not_ready_reads_are_retried_and_counted_in_one_record(self):
         # each inner read keeps rdrand's contract: up to 10 not-ready signals, then data
@@ -311,7 +317,7 @@ class TestEmulatedSeedSource:
 
         def derive(script, log):
             rand = scripted_source(script, kind=SourceKind.HARDWARE_RAND, name="rdrand")
-            return read_with_retry(emulated_seed_source(rand, log=log), 48, log).data
+            return read_with_retry(emulated_seed_source(rand, log=log), 48, log)
 
         log = EventLog()
         assert derive(script, log) == derive(data, EventLog())
@@ -353,7 +359,7 @@ class TestSeedingPinned:
     def test_emulated_seed_read(self):
         log = EventLog()
         derived = emulated_seed_source(rdrand_source(counter_fetch()), log=log)
-        assert read_with_retry(derived, 48, log).data.hex() == (
+        assert read_with_retry(derived, 48, log).hex() == (
             "572459fffaf100505bb3f9c8b8bf7dac3f47a6367bda047f"
             "793d1b2fa07f11038ea3c44e535088ffa3e36e51c7d63658")
 
